@@ -28,6 +28,7 @@ other work.  See docs/PERFORMANCE.md.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import sys
@@ -222,6 +223,7 @@ def bench_scale(quick: bool) -> Dict[str, Metric]:
     sizes = (25, 50, 100) if quick else (25, 50, 100, 200, 1000, 10000)
     metrics: Dict[str, Metric] = {}
     for size in sizes:
+        gc.collect()  # the previous size's network, as in run_suite
         t0 = time.perf_counter()
         row = scale_run(size)
         wall = time.perf_counter() - t0
@@ -381,8 +383,6 @@ def bench_telemetry(quick: bool) -> Dict[str, Metric]:
     # paused inside the timed region (the instrumented run allocates
     # more, and a collection landing mid-run would charge its cost to
     # whichever mode triggered it) and drained between batches.
-    import gc
-
     batches = 3
     pairs = 27 if quick else 50
 
@@ -675,6 +675,10 @@ def run_suite(
     all_failures: List[str] = []
     for name in selected:
         fn = BENCHMARKS[name]
+        # The previous benchmark's networks are cyclic garbage (5.7M
+        # objects after the n=10000 cell); free them here, not inside
+        # this benchmark's timing.
+        gc.collect()
         start = time.perf_counter()
         if profile:
             import cProfile

@@ -23,6 +23,7 @@ from repro.core.router import CBTProtocol
 from repro.core.timers import CBTTimers, DEFAULT_TIMERS
 from repro.igmp.host import IGMPHostAgent
 from repro.igmp.router_side import IGMPConfig
+from repro.netsim.engine import gc_paused
 from repro.routing.table import Host, Router
 from repro.topology.builder import Network
 
@@ -116,26 +117,30 @@ class CBTDomain:
             list(cbt_routers) if cbt_routers is not None else list(network.routers)
         )
         host_names = list(hosts) if hosts is not None else list(network.hosts)
-        for name in names:
-            router = network.router(name)
-            self.protocols[name] = CBTProtocol(
-                router,
-                timers=timers,
-                mode=mode,
-                coordinator=self.coordinator,
-                igmp_config=igmp_config,
-                use_cbt_multicast=use_cbt_multicast,
-                aggregate_echoes=aggregate_echoes,
-                enable_proxy_ack=enable_proxy_ack,
-                wire_format=wire_format,
-            )
-        for name in host_names:
-            self.host_agents[name] = IGMPHostAgent(network.hosts[name])
+        # One protocol instance per router, each a web of long-lived
+        # objects: collection passes here would find nothing to free.
+        with gc_paused():
+            for name in names:
+                router = network.router(name)
+                self.protocols[name] = CBTProtocol(
+                    router,
+                    timers=timers,
+                    mode=mode,
+                    coordinator=self.coordinator,
+                    igmp_config=igmp_config,
+                    use_cbt_multicast=use_cbt_multicast,
+                    aggregate_echoes=aggregate_echoes,
+                    enable_proxy_ack=enable_proxy_ack,
+                    wire_format=wire_format,
+                )
+            for name in host_names:
+                self.host_agents[name] = IGMPHostAgent(network.hosts[name])
 
     def start(self) -> None:
         """Start every protocol instance (IGMP elections, HELLOs, timers)."""
-        for protocol in self.protocols.values():
-            protocol.start()
+        with gc_paused():
+            for protocol in self.protocols.values():
+                protocol.start()
 
     def protocol(self, router_name: str) -> CBTProtocol:
         return self.protocols[router_name]

@@ -55,6 +55,21 @@ from repro.telemetry import Counter, EventLog, MetricsRegistry, ProtocolEvent
 
 _ANY_GROUP = IPv4Address("0.0.0.0")
 
+#: Control message type -> name of the ``CBTProtocol`` receive method.
+#: Looked up by name on each message, so class-level patches of a
+#: handler take effect.
+_HANDLERS: Dict[MessageType, str] = {
+    MessageType.JOIN_REQUEST: "_recv_join_request",
+    MessageType.JOIN_ACK: "_recv_join_ack",
+    MessageType.JOIN_NACK: "_recv_join_nack",
+    MessageType.QUIT_REQUEST: "_recv_quit_request",
+    MessageType.QUIT_ACK: "_recv_quit_ack",
+    MessageType.FLUSH_TREE: "_recv_flush",
+    MessageType.ECHO_REQUEST: "_recv_echo_request",
+    MessageType.ECHO_REPLY: "_recv_echo_reply",
+    MessageType.HELLO: "_recv_hello",
+}
+
 
 class ControlStats:
     """Control-plane message counters (spec message type granularity).
@@ -610,8 +625,11 @@ class CBTProtocol:
                 cores=pend.cores,
             )
             self._send_control(message, pend.upstream_address)
+            # Re-arm through a fresh closure: a closure naming itself
+            # is a reference cycle, garbage only the cyclic collector
+            # frees, and the event loop runs with that paused.
             pend.retransmit_timer = self.router.scheduler.call_later(
-                self.timers.pend_join_interval, retransmit
+                self.timers.pend_join_interval, self._make_retransmit(group)
             )
 
         return retransmit
@@ -841,19 +859,9 @@ class CBTProtocol:
         if not isinstance(message, CBTControlMessage):
             return
         self.stats.count_received(message.msg_type)
-        handler = {
-            MessageType.JOIN_REQUEST: self._recv_join_request,
-            MessageType.JOIN_ACK: self._recv_join_ack,
-            MessageType.JOIN_NACK: self._recv_join_nack,
-            MessageType.QUIT_REQUEST: self._recv_quit_request,
-            MessageType.QUIT_ACK: self._recv_quit_ack,
-            MessageType.FLUSH_TREE: self._recv_flush,
-            MessageType.ECHO_REQUEST: self._recv_echo_request,
-            MessageType.ECHO_REPLY: self._recv_echo_reply,
-            MessageType.HELLO: self._recv_hello,
-        }.get(message.msg_type)
+        handler = _HANDLERS.get(message.msg_type)
         if handler is not None:
-            handler(interface, datagram.src, message)
+            getattr(self, handler)(interface, datagram.src, message)
 
     def _handle_proto_cbt(self, node: Node, interface: Interface, datagram: IPDatagram) -> None:
         if datagram.is_multicast:
@@ -1447,9 +1455,10 @@ class CBTProtocol:
                 # No route to this core right now (e.g. mid-partition):
                 # keep the retry chain alive instead of stranding the
                 # group in rejoin state forever; the reconnect deadline
-                # above still bounds the loop.
+                # above still bounds the loop.  A fresh closure, not
+                # ``retry`` itself (see _make_retransmit).
                 self._rejoin_timers[group] = self.router.scheduler.call_later(
-                    self.timers.pend_join_interval, retry
+                    self.timers.pend_join_interval, self._make_rejoin_retry(group)
                 )
 
         return retry

@@ -37,21 +37,23 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 Number = Union[int, float]
 
 
-def _plain_prefix(pattern: str) -> Optional[str]:
-    """The literal prefix of ``pattern`` if it is a pure prefix query
-    (a single trailing ``*`` and no other wildcard), else ``None``.
+def _single_star(pattern: str) -> Optional[Tuple[str, str]]:
+    """``(head, tail)`` if ``pattern`` is ``head*tail`` with exactly one
+    ``*`` and no other wildcard, else ``None``.
 
-    ``cbt.router.R4.tx.*`` qualifies; ``cbt.router.*.tx.join`` does
-    not.  Pure prefix queries dominate the hot aggregation paths
-    (per-router control-cost sums call one per router), and they can be
-    answered from a sorted-key index in O(log n + matches) instead of
-    fnmatching every instrument in the registry.
+    ``cbt.router.R4.tx.*`` and ``cbt.router.*.tx.join_request`` both
+    qualify.  Such a pattern matches exactly the names that start with
+    ``head``, end with ``tail`` and are at least
+    ``len(head) + len(tail)`` long (``fnmatch`` has no escape
+    character, so every other character is literal).  That is answered
+    from a sorted-name index in O(log n + names under ``head``) instead
+    of fnmatching every instrument: per-router control-cost sums and
+    the cross-router conservation sums are all of this shape.
     """
-    if pattern.endswith("*"):
-        head = pattern[:-1]
-        if not any(ch in head for ch in "*?["):
-            return head
-    return None
+    if pattern.count("*") != 1 or "?" in pattern or "[" in pattern:
+        return None
+    head, _, tail = pattern.partition("*")
+    return head, tail
 
 #: Default histogram bucket upper bounds, in simulation seconds.
 #: Chosen for control-plane latencies: LAN joins land in the first few
@@ -226,6 +228,21 @@ class MetricsRegistry:
             out.append(name)
         return out
 
+    def _select(self, keys: List[str], pattern: str) -> List[str]:
+        """Names in the sorted index ``keys`` that match ``pattern``,
+        in sorted order."""
+        star = _single_star(pattern)
+        if star is None:
+            return [name for name in keys if fnmatchcase(name, pattern)]
+        head, tail = star
+        names = self._prefix_range(keys, head)
+        if not tail:
+            return names
+        shortest = len(head) + len(tail)
+        return [
+            name for name in names if name.endswith(tail) and len(name) >= shortest
+        ]
+
     def disable(self) -> None:
         """Hand out null instruments from now on (existing ones keep
         counting; disable before wiring for a true zero-cost run)."""
@@ -286,55 +303,33 @@ class MetricsRegistry:
     def total(self, pattern: str) -> Number:
         """Sum of counter and gauge values whose names match the
         shell-style ``pattern`` (``fnmatch``; ``*`` does cross ``.``
-        boundaries).  Pure prefix patterns (single trailing ``*``) are
-        answered from the sorted-name index without scanning."""
-        prefix = _plain_prefix(pattern)
-        if prefix is not None:
-            return self.total_prefix(prefix)
-        return sum(
-            c.value for name, c in self._counters.items() if fnmatchcase(name, pattern)
-        ) + sum(
-            g.read() for name, g in self._gauges.items() if fnmatchcase(name, pattern)
-        )
-
-    def total_prefix(self, prefix: str) -> Number:
-        """Sum of counter and gauge values whose names start with
-        ``prefix`` — O(log instruments + matches)."""
+        boundaries).  Single-``*`` patterns are answered from the
+        sorted-name index without scanning."""
         counters = self._counters
         gauges = self._gauges
         return sum(
             counters[name].value
-            for name in self._prefix_range(self._counter_index(), prefix)
+            for name in self._select(self._counter_index(), pattern)
         ) + sum(
-            gauges[name].read()
-            for name in self._prefix_range(self._gauge_index(), prefix)
+            gauges[name].read() for name in self._select(self._gauge_index(), pattern)
         )
 
     def matching(self, pattern: str) -> Dict[str, Number]:
         """Counter and gauge values whose names match ``pattern``,
-        sorted by name."""
-        prefix = _plain_prefix(pattern)
-        if prefix is not None:
-            out: Dict[str, Number] = {}
-            for name in self._prefix_range(self._counter_index(), prefix):
-                out[name] = self._counters[name].value
-            for name in self._prefix_range(self._gauge_index(), prefix):
-                out.setdefault(name, self._gauges[name].read())
-            return dict(sorted(out.items()))
-        merged = {name: c.value for name, c in self._counters.items()}
-        for name, gauge in self._gauges.items():
-            merged.setdefault(name, gauge.read())
-        return {
-            name: merged[name]
-            for name in sorted(merged)
-            if fnmatchcase(name, pattern)
-        }
+        sorted by name (a counter shadows a gauge of the same name).
+        Only matching gauges are read."""
+        out: Dict[str, Number] = {}
+        for name in self._select(self._counter_index(), pattern):
+            out[name] = self._counters[name].value
+        for name in self._select(self._gauge_index(), pattern):
+            if name not in out:
+                out[name] = self._gauges[name].read()
+        return dict(sorted(out.items()))
 
     def histograms_matching(self, pattern: str) -> List[Histogram]:
         return [
             self._histograms[name]
-            for name in sorted(self._histograms)
-            if fnmatchcase(name, pattern)
+            for name in self._select(sorted(self._histograms), pattern)
         ]
 
     # -- snapshots -------------------------------------------------------

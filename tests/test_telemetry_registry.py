@@ -1,6 +1,9 @@
 """Unit tests for the zero-dependency metrics registry."""
 
+from fnmatch import fnmatchcase
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.telemetry import (
     DEFAULT_BUCKETS,
@@ -67,6 +70,25 @@ class TestRegistry:
         assert registry.total("cbt.router.*.tx.hello") == 5
         assert registry.total("cbt.router.*.tx.*") == 6
 
+    def test_single_star_needs_room_for_head_and_tail(self):
+        registry = MetricsRegistry()
+        registry.counter("aba").inc()
+        registry.counter("ab.ba").inc(10)
+        # "aba" starts with "ab" and ends with "ba" but the two overlap.
+        assert registry.total("ab*ba") == 10
+        assert list(registry.matching("ab*ba")) == ["ab.ba"]
+
+    def test_matching_reads_only_matching_gauges(self):
+        registry = MetricsRegistry()
+        read = []
+        for name in ("netsim.msg.Join.tx", "netsim.msg.Join.rx", "other.tx"):
+            registry.gauge(name, callback=lambda n=name: read.append(n) or 1)
+        assert registry.matching("netsim.msg.*.tx") == {"netsim.msg.Join.tx": 1}
+        assert read == ["netsim.msg.Join.tx"]
+        read.clear()
+        assert registry.matching("netsim.*.J?in.tx") == {"netsim.msg.Join.tx": 1}
+        assert read == ["netsim.msg.Join.tx"]
+
     def test_matching_is_sorted(self):
         registry = MetricsRegistry()
         registry.counter("b").inc()
@@ -126,3 +148,81 @@ class TestDisabledRegistry:
         assert registry.counter("y") is NULL_COUNTER
         live.inc()  # pre-existing instruments keep counting
         assert live.value == 1
+
+
+# -- index-answered queries agree with a plain fnmatch scan ------------------
+
+#: Small alphabets so generated names and patterns overlap often.
+_SEGMENT = st.sampled_from(["a", "b", "ab", "ba", "tx", "R1", "R12"])
+_NAME = st.lists(_SEGMENT, min_size=1, max_size=4).map(".".join)
+_LITERAL = st.text(alphabet="ab.R1tx", max_size=6)
+_TOKEN = st.one_of(
+    _SEGMENT, st.sampled_from([".", "*", "?", "[ab]", "[!a]", "[R]"])
+)
+
+
+@st.composite
+def _cut_pattern(draw):
+    """``name[:i] + '*' + name[j:]`` for a generated name: head and
+    tail may overlap, so the name itself need not match."""
+    name = draw(_NAME)
+    i = draw(st.integers(0, len(name)))
+    j = draw(st.integers(0, len(name)))
+    return f"{name[:i]}*{name[j:]}"
+
+
+_PATTERN = st.one_of(
+    # exactly one '*': leading, middle or trailing
+    st.builds(lambda head, tail: f"{head}*{tail}", _LITERAL, _LITERAL),
+    _cut_pattern(),
+    # anything else: several '*', '?', bracket classes
+    st.lists(_TOKEN, min_size=1, max_size=6).map("".join),
+)
+
+
+def _reference_total(counters, gauges, pattern):
+    return sum(v for n, v in counters.items() if fnmatchcase(n, pattern)) + sum(
+        v for n, v in gauges.items() if fnmatchcase(n, pattern)
+    )
+
+
+def _reference_matching(counters, gauges, pattern):
+    merged = dict(counters)
+    for name, value in gauges.items():
+        merged.setdefault(name, value)
+    return {n: merged[n] for n in sorted(merged) if fnmatchcase(n, pattern)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    counters=st.dictionaries(_NAME, st.integers(0, 50), max_size=12),
+    gauges=st.dictionaries(_NAME, st.integers(0, 50), max_size=12),
+    late=st.dictionaries(_NAME, st.integers(0, 50), max_size=4),
+    patterns=st.lists(_PATTERN, min_size=1, max_size=4),
+)
+def test_queries_match_fnmatch_reference(counters, gauges, late, patterns):
+    registry = MetricsRegistry()
+    for name, value in counters.items():
+        registry.counter(name).inc(value)
+        registry.histogram(name)
+    for name, value in gauges.items():
+        registry.gauge(name, callback=lambda v=value: v)
+    for pattern in patterns:
+        assert registry.total(pattern) == _reference_total(counters, gauges, pattern)
+        assert registry.matching(pattern) == _reference_matching(
+            counters, gauges, pattern
+        )
+    # Instruments created after a query must show up in the next one.
+    for name, value in late.items():
+        if name not in counters:
+            registry.counter(name).inc(value)
+            registry.histogram(name)
+            counters[name] = value
+    for pattern in patterns:
+        assert registry.total(pattern) == _reference_total(counters, gauges, pattern)
+        assert registry.matching(pattern) == _reference_matching(
+            counters, gauges, pattern
+        )
+        assert [h.name for h in registry.histograms_matching(pattern)] == [
+            n for n in sorted(counters) if fnmatchcase(n, pattern)
+        ]
